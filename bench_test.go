@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	gmine "repro"
 	"repro/internal/experiments"
@@ -398,11 +399,36 @@ func BenchmarkRWRMultiFanout(b *testing.B) {
 	}
 }
 
+// extractStages sums the per-stage timings an extraction reports through
+// ExtractOptions.StageHook, so a benchmark can show which stage its
+// ns/op is spent in.
+type extractStages struct{ rwr, expand, induce time.Duration }
+
+func (st *extractStages) observe(stage string, _ time.Time, d time.Duration) {
+	switch stage {
+	case "rwr":
+		st.rwr += d
+	case "expand":
+		st.expand += d
+	case "induce":
+		st.induce += d
+	}
+}
+
+// report emits each stage's mean wall time as <stage>_ms/op.
+func (st *extractStages) report(b *testing.B) {
+	perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(st.rwr), "rwr_ms/op")
+	b.ReportMetric(perOp(st.expand), "expand_ms/op")
+	b.ReportMetric(perOp(st.induce), "induce_ms/op")
+}
+
 // BenchmarkExtractMemoryVsPaged contrasts one multi-source extraction on
 // the in-memory CSR against the out-of-core paged CSR at several buffer
 // pool sizes. The paged runs trade speed for bounded resident adjacency:
 // a pool far smaller than the CSR section still answers the query, just
-// with more page churn (watch evictions grow as the pool shrinks).
+// with more page churn (watch evictions grow as the pool shrinks). Each
+// case also reports its rwr/expand/induce stage times per op.
 func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 	setup(b)
 	sources := []gmine.NodeID{
@@ -410,14 +436,16 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 		benchDS.Notables[gmine.NameFlipKorn],
 		benchDS.Notables[gmine.NameGarofalakis],
 	}
-	opts := gmine.ExtractOptions{Budget: 30}
 	b.Run("MemoryCSR", func(b *testing.B) {
+		var st extractStages
+		opts := gmine.ExtractOptions{Budget: 30, StageHook: st.observe}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := benchEng.Extract(sources, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
+		st.report(b)
 	})
 	for _, pool := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("Paged/pool=%d", pool), func(b *testing.B) {
@@ -426,6 +454,8 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer disk.Close()
+			var st extractStages
+			opts := gmine.ExtractOptions{Budget: 30, StageHook: st.observe}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -434,8 +464,9 @@ func BenchmarkExtractMemoryVsPaged(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			st := disk.Store().PoolInfo()
-			b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
+			pi := disk.Store().PoolInfo()
+			b.ReportMetric(float64(pi.Evictions)/float64(b.N), "evictions/op")
+			st.report(b)
 		})
 	}
 }

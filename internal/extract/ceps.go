@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,7 +22,11 @@ type Options struct {
 	Mode CombineMode
 	// K for CombineKSoftAND.
 	K int
-	// MaxPathLen caps key-path length in the dynamic program (default 10).
+	// MaxPathLen caps key-path length in the dynamic program (default
+	// 10, at most MaxPathLenLimit). One source's DP holds MaxPathLen
+	// parent layers of n entries, so the ceiling bounds that per-source
+	// memory; what one extraction keeps across all its sources is bounded
+	// separately by dpCacheBytes.
 	MaxPathLen int
 	// StageHook, if set, receives the wall-clock timing of each internal
 	// extraction stage ("rwr" solve, "expand" key-path rounds, "induce"
@@ -30,16 +35,24 @@ type Options struct {
 	StageHook func(stage string, start time.Time, d time.Duration)
 }
 
+// MaxPathLenLimit is the largest accepted Options.MaxPathLen, about six
+// times the default of 10.
+const MaxPathLenLimit = 64
+
 // Normalize validates o and fills zero fields with defaults, rejecting
-// explicitly out-of-range RWR parameters. It is idempotent, and the server
-// uses it to canonicalize requests before building cache keys, so "budget
-// omitted" and "budget 30" share one cache entry.
+// explicitly out-of-range RWR parameters and path lengths above
+// MaxPathLenLimit. It is idempotent, and the server uses it to
+// canonicalize requests before building cache keys, so "budget omitted"
+// and "budget 30" share one cache entry.
 func (o Options) Normalize() (Options, error) {
 	if o.Budget <= 0 {
 		o.Budget = 30
 	}
-	if o.MaxPathLen <= 0 {
+	switch {
+	case o.MaxPathLen <= 0:
 		o.MaxPathLen = 10
+	case o.MaxPathLen > MaxPathLenLimit:
+		return o, fmt.Errorf("extract: max path length %d exceeds the limit of %d", o.MaxPathLen, MaxPathLenLimit)
 	}
 	if o.Mode != CombineKSoftAND {
 		// K only participates in k-softAND scoring; zero it elsewhere so
@@ -98,6 +111,16 @@ func ConnectionSubgraphCSR(g *graph.Graph, c *graph.CSR, sources []graph.NodeID,
 // identically for every implementation, so results are bit-identical
 // across backends over the same graph.
 func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeID) string, sources []graph.NodeID, opts Options) (*Result, error) {
+	return connectionSubgraphAdj(adj, directed, labelOf, sources, opts, dpCacheBytes)
+}
+
+// dpCacheBytes caps the key-path DP results one extraction keeps between
+// expansion rounds, summed over its sources (see pathCache).
+const dpCacheBytes = 64 << 20
+
+// connectionSubgraphAdj is ConnectionSubgraphAdj with the DP cache cap as
+// a parameter, so tests can force sources out of the cache.
+func connectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeID) string, sources []graph.NodeID, opts Options, cacheBytes int) (*Result, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
@@ -161,6 +184,10 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 	// same sequence the naive argmax scan would (see destQueue).
 	begin = time.Now()
 	dests := newDestQueue(goodness, opts.Budget)
+	// Each source's DP runs the first time the loop reaches that source,
+	// so a budget that fills early skips the remaining sources' DPs.
+	dp := &keyPathDP{adj: adj, logGood: logGood, maxLen: opts.MaxPathLen}
+	paths := newPathCache(dp, sources, cacheBytes)
 	iterations := 0
 	for len(chosen) < opts.Budget {
 		pd := dests.nextDest(inH)
@@ -168,11 +195,11 @@ func ConnectionSubgraphAdj(adj graph.Adjacency, directed bool, labelOf func(grap
 			break // no positive-goodness node remains
 		}
 		iterations++
-		for _, s := range sources {
+		for i := range sources {
 			if len(chosen) >= opts.Budget {
 				break
 			}
-			for _, u := range keyPath(adj, s, pd, logGood, opts.MaxPathLen) {
+			for _, u := range paths.get(i).pathTo(pd) {
 				if !inH[u] {
 					if len(chosen) >= opts.Budget {
 						break
@@ -260,31 +287,106 @@ func inducedFromAdj(adj graph.Adjacency, directed bool, labelOf func(graph.NodeI
 	return sub, new2old
 }
 
-// keyPath finds a high-goodness path from src to dst with at most maxLen
-// edges by dynamic programming: dp[l][v] = best sum of log-goodness over
-// the nodes of a walk of exactly l edges from src to v. Returns the node
-// sequence src..dst, or nil if dst is unreachable within maxLen.
-func keyPath(c graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen int) []graph.NodeID {
-	n := c.N()
+// keyPathDP runs the key-path dynamic program over one adjacency and
+// log-goodness vector: dp[l][v] = best sum of log-goodness over the nodes
+// of a walk of exactly l edges from the source to v. The DP from a source
+// never looks at the destination, so one run of from per source answers
+// every destination (pathCache reruns it only for sources it had to drop
+// to stay within its byte cap). The float layers are scratch shared by all
+// sources of one extraction (this goroutine only).
+type keyPathDP struct {
+	adj             graph.Adjacency
+	logGood         []float64
+	maxLen          int
+	prev, cur, best []float64
+}
+
+// sourcePaths is the finished DP from one source: for every node the
+// parent on each layer's best walk and the layer whose walk scored best.
+type sourcePaths struct {
+	src graph.NodeID
+	// parents[(l-1)*n+v]: predecessor of v on the best l-edge walk, -1
+	// when v is unreachable in exactly l edges.
+	parents []int32
+	// bestLen[v] is the first layer whose score for v is strictly better
+	// than every earlier layer's, 0 when v is unreachable within maxLen.
+	// A byte suffices because Normalize caps maxLen at MaxPathLenLimit.
+	bestLen []uint8
+	// rev and out are the scratch behind the slice pathTo returns.
+	rev, out []graph.NodeID
+}
+
+// pathCache hands the expansion loop each source's finished DP while
+// keeping at most len(slots) of them: sources before the last slot own one
+// each for the whole extraction, and every later source shares the last
+// slot, rebuilt into the same buffers whenever the loop reaches a source
+// other than the one it holds. from is deterministic, so a rebuilt DP
+// answers exactly as a kept one would. The slot count is what fits in the
+// byte cap (at least one), so an extraction keeps at most the cap or one
+// source's DP, whichever is larger, and in the worst case costs one DP per
+// (round, source) pair.
+type pathCache struct {
+	dp      *keyPathDP
+	sources []graph.NodeID
+	slots   []*sourcePaths
+}
+
+func newPathCache(dp *keyPathDP, sources []graph.NodeID, capBytes int) *pathCache {
+	k := min(len(sources), max(1, capBytes/dp.bytesPerSource()))
+	return &pathCache{dp: dp, sources: sources, slots: make([]*sourcePaths, k)}
+}
+
+// get returns the DP of sources[i]. Its paths stay valid until the next get.
+func (c *pathCache) get(i int) *sourcePaths {
+	j := min(i, len(c.slots)-1)
+	sp := c.slots[j]
+	if sp == nil || sp.src != c.sources[i] {
+		sp = c.dp.from(c.sources[i], sp)
+		c.slots[j] = sp
+	}
+	return sp
+}
+
+// bytesPerSource is the memory of one finished DP: maxLen int32 parent
+// layers plus the bestLen byte, per node.
+func (d *keyPathDP) bytesPerSource() int {
+	return (4*d.maxLen + 1) * d.adj.N()
+}
+
+// from runs the DP from src, reusing reuse's buffers when it is non-nil.
+func (d *keyPathDP) from(src graph.NodeID, reuse *sourcePaths) *sourcePaths {
+	n := d.adj.N()
+	sp := reuse
+	if sp == nil {
+		sp = &sourcePaths{bestLen: make([]uint8, n)}
+	} else {
+		clear(sp.bestLen)
+	}
+	sp.src = src
 	negInf := math.Inf(-1)
-	prev := make([]float64, n)
-	cur := make([]float64, n)
-	// parent[l][v]: predecessor of v on the best l-edge walk.
-	parents := make([][]int32, maxLen+1)
+	if d.logGood[src] == negInf {
+		// Every walk through a zero-goodness source scores -Inf: no node
+		// is reachable, and the layers would only confirm it.
+		return sp
+	}
+	if d.prev == nil {
+		d.prev, d.cur, d.best = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	prev, cur, best := d.prev, d.cur, d.best
 	for i := range prev {
 		prev[i] = negInf
+		best[i] = negInf
 	}
-	prev[src] = logGood[src]
-	bestLen, bestScore := -1, negInf
-	if src == dst {
-		return []graph.NodeID{src}
+	prev[src] = d.logGood[src]
+	if sp.parents == nil {
+		sp.parents = make([]int32, d.maxLen*n)
 	}
-	// One reusable buffer for the whole DP (this goroutine only). The DP
-	// never reads edge weights, so the ids-only fast path skips decoding
-	// (and, paged, skips reading) the EdgeW run entirely.
+	// One reusable neighbour buffer for every layer. The DP never reads
+	// edge weights, so the ids-only fast path skips decoding (and, paged,
+	// skips reading) the EdgeW run entirely.
 	var nbrs []graph.NodeID
-	for l := 1; l <= maxLen; l++ {
-		par := make([]int32, n)
+	for l := 1; l <= d.maxLen; l++ {
+		par := sp.parents[(l-1)*n : l*n]
 		for i := range par {
 			par[i] = -1
 		}
@@ -295,48 +397,61 @@ func keyPath(c graph.Adjacency, src, dst graph.NodeID, logGood []float64, maxLen
 			if prev[u] == negInf {
 				continue
 			}
-			nbrs = graph.NeighborIDs(c, graph.NodeID(u), nbrs[:0])
+			nbrs = graph.NeighborIDs(d.adj, graph.NodeID(u), nbrs[:0])
 			for _, v := range nbrs {
-				if logGood[v] == negInf {
+				if d.logGood[v] == negInf {
 					continue
 				}
-				cand := prev[u] + logGood[v]
+				cand := prev[u] + d.logGood[v]
 				if cand > cur[v] {
 					cur[v] = cand
 					par[v] = int32(u)
 				}
 			}
 		}
-		parents[l] = par
-		if cur[dst] > bestScore {
-			bestScore = cur[dst]
-			bestLen = l
+		for v, c := range cur {
+			if c > best[v] {
+				best[v] = c
+				sp.bestLen[v] = uint8(l)
+			}
 		}
 		prev, cur = cur, prev
 	}
-	if bestLen < 0 {
+	return sp
+}
+
+// pathTo returns the key path src..dst, or nil if dst is unreachable
+// within maxLen. The slice is valid until the next pathTo call.
+func (sp *sourcePaths) pathTo(dst graph.NodeID) []graph.NodeID {
+	if dst == sp.src {
+		sp.out = append(sp.out[:0], dst)
+		return sp.out
+	}
+	l := int(sp.bestLen[dst])
+	if l == 0 {
 		return nil
 	}
-	// Walk parents back from dst at bestLen. A parent chain may revisit
-	// nodes (walks, not simple paths); dedup while preserving order.
-	rev := []graph.NodeID{dst}
+	// Walk parents back from dst at its best layer. A parent chain may
+	// revisit nodes (walks, not simple paths); dedup while preserving
+	// order. Paths hold at most maxLen+1 nodes, so a linear scan beats a
+	// set.
+	rev := append(sp.rev[:0], dst)
 	v := dst
-	for l := bestLen; l >= 1; l-- {
-		p := parents[l][v]
+	for ; l >= 1; l-- {
+		p := sp.parents[(l-1)*len(sp.bestLen)+int(v)]
 		if p < 0 {
 			break
 		}
 		v = graph.NodeID(p)
 		rev = append(rev, v)
 	}
-	out := make([]graph.NodeID, 0, len(rev))
-	used := map[graph.NodeID]bool{}
+	out := sp.out[:0]
 	for i := len(rev) - 1; i >= 0; i-- {
-		if !used[rev[i]] {
-			used[rev[i]] = true
+		if !slices.Contains(out, rev[i]) {
 			out = append(out, rev[i])
 		}
 	}
+	sp.rev, sp.out = rev, out
 	return out
 }
 

@@ -33,12 +33,13 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON and marshalJSON emit compact JSON, one document per line:
+// the result cache stores bodies, and indentation nearly doubled an
+// extraction's. Pipe through jq to read a response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -153,7 +154,7 @@ func statusOf(err error, fallback int) int {
 }
 
 func marshalJSON(v any) []byte {
-	b, _ := json.MarshalIndent(v, "", "  ")
+	b, _ := json.Marshal(v)
 	return append(b, '\n')
 }
 
@@ -701,7 +702,8 @@ type ExtractRequest struct {
 	Mode string `json:"mode"`
 	// K is the soft-AND particle count for mode "ksoft".
 	K int `json:"k"`
-	// MaxPathLen caps key-path length (default 10).
+	// MaxPathLen caps key-path length (default 10, at most
+	// extract.MaxPathLenLimit = 64; larger values are a 400).
 	MaxPathLen int `json:"maxPathLen"`
 	// Format selects "json" (default) or "svg".
 	Format string `json:"format"`

@@ -256,6 +256,7 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 		requester = nil
 	}
 	bp.recordHeat(id, requester)
+	var spare *frame // an evicted frame to load into, nil while the pool has room
 	for {
 		if fr, ok := bp.frames[id]; ok {
 			bp.stats.Hits++
@@ -277,8 +278,9 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 			break
 		}
 		// Walk victims LRU-first, skipping frames protected by another
-		// partition's reservation.
-		evicted := false
+		// partition's reservation. The victim's frame and page buffer are
+		// recycled for the load below: nobody can hold its data, since it
+		// was unpinned.
 		for victim := bp.tail; victim != nil; victim = victim.prev {
 			if !evictableBy(victim, requester) {
 				continue
@@ -292,11 +294,11 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 			if requester != nil {
 				requester.stats.Evictions++
 			}
-			evicted = true
+			spare = victim
 			break
 		}
-		if evicted {
-			continue
+		if spare != nil {
+			break
 		}
 		// Every frame is pinned or protected: wait for a Release (or a
 		// Partition.Close lifting protection), then re-check from scratch
@@ -307,12 +309,16 @@ func (bp *BufferPool) get(id PageID, requester *Partition) ([]byte, error) {
 	if requester != nil {
 		requester.stats.Misses++
 	}
-	data, err := bp.pager.ReadPage(id)
+	fr := spare
+	if fr == nil {
+		//lint:ignore hotalloc cold fill: a frame is allocated only while the pool is below capacity; once full, every miss recycles an evicted frame
+		fr = &frame{}
+	}
+	data, err := bp.pager.ReadPageInto(id, fr.data)
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore hotalloc miss path: the frame allocation is paid once per page load, never on the warm hit path the zero-alloc guard covers
-	fr := &frame{id: id, data: data, pins: 1}
+	*fr = frame{id: id, data: data, pins: 1}
 	if requester != nil {
 		fr.owner = requester
 		requester.held++

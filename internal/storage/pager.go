@@ -273,7 +273,17 @@ func retryBackoff(attempt int) {
 }
 
 // ReadPage reads page id's payload into a fresh slice of PayloadSize bytes,
-// verifying the checksum.
+// verifying the checksum. It is ReadPageInto with no buffer to reuse.
+func (p *Pager) ReadPage(id PageID) ([]byte, error) {
+	return p.ReadPageInto(id, nil)
+}
+
+// ReadPageInto reads page id's payload into buf's backing array when its
+// capacity holds a whole page (a fresh page is allocated otherwise),
+// verifying the checksum, and returns the PayloadSize-byte payload. The
+// buffer pool passes an evicted frame's data here, so a miss in steady
+// state allocates nothing. buf's contents are overwritten even when the
+// read fails.
 //
 // Transient failures — errors marked ErrTransient, short reads, and
 // checksum mismatches that heal on re-read (a torn buffer or in-flight
@@ -282,13 +292,17 @@ func retryBackoff(attempt int) {
 // (the buffer pool, and through it the paged-CSR fault epoch) therefore
 // only ever see post-classification permanent failures; a transient blip
 // never latches a query-visible fault.
-func (p *Pager) ReadPage(id PageID) ([]byte, error) {
+func (p *Pager) ReadPageInto(id PageID, buf []byte) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if id >= PageID(p.numPages) {
 		return nil, fmt.Errorf("storage: read of unallocated page %d (have %d)", id, p.numPages)
 	}
-	page := make([]byte, p.pageSize)
+	page := buf[:cap(buf)]
+	if len(page) < p.pageSize {
+		page = make([]byte, p.pageSize)
+	}
+	page = page[:p.pageSize]
 	off := int64(id) * int64(p.pageSize)
 	var lastErr error
 	for attempt := 0; attempt < readAttempts; attempt++ {
